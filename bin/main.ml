@@ -1567,7 +1567,9 @@ let serve_cmd =
          & info [ "checkpoint" ] ~docv:"PREFIX"
              ~doc:
                "On shutdown (SIGTERM or end of stream), write one \
-                dbp-checkpoint/1 snapshot per shard to $(docv).shard<k>.")
+                dbp-checkpoint/1 snapshot per shard to $(docv).shard<k>, \
+                and each shard's engine-to-client session map to \
+                $(docv).shard<k>.sessions.")
   in
   let run shards policy_name capacity seed route_name split_k grid_den
       budget_spec stdio socket tcp replay connect echo bench sessions

@@ -1,20 +1,6 @@
 open Dbp_num
 
-type t = {
-  id : int;
-  tag : string;
-  capacity : Rat.t;
-  opened : Rat.t;
-  mutable closed : Rat.t option;
-  mutable level : Rat.t;
-  active : (int, Item.t) Hashtbl.t;
-  mutable max_level : Rat.t;
-  mutable all_items : int list;
-  mutable placements : (Rat.t * int) list;
-  mutable view_cache : view option;
-}
-
-and view = {
+type view = {
   bin_id : int;
   bin_tag : string;
   bin_capacity : Rat.t;
@@ -23,113 +9,3 @@ and view = {
   bin_opened : Rat.t;
   bin_count : int;
 }
-
-let open_bin ~id ~tag ~capacity ~now =
-  if Rat.sign capacity <= 0 then invalid_arg "Bin.open_bin: capacity <= 0";
-  {
-    id;
-    tag;
-    capacity;
-    opened = now;
-    closed = None;
-    level = Rat.zero;
-    active = Hashtbl.create 8;
-    max_level = Rat.zero;
-    all_items = [];
-    placements = [];
-    view_cache = None;
-  }
-
-(* Thaw path of checkpoint/restore: rebuild a bin from its frozen
-   image.  [placements] oldest first (the serialised order);
-   [active_items] are the stubs still inside, oldest placement first.
-   [all_items] is re-derived from the placements, and [level] from the
-   active stubs, so a corrupt snapshot cannot smuggle in an
-   inconsistent cache. *)
-let restore ~id ~tag ~capacity ~opened ~closed ~max_level ~placements
-    ~active_items =
-  if Rat.sign capacity <= 0 then invalid_arg "Bin.restore: capacity <= 0";
-  let active = Hashtbl.create (max 8 (List.length active_items)) in
-  List.iter
-    (fun (r : Item.t) ->
-      if Hashtbl.mem active r.id then
-        invalid_arg "Bin.restore: duplicate active item";
-      Hashtbl.replace active r.id r)
-    active_items;
-  let level =
-    if closed <> None then Rat.zero
-    else List.fold_left (fun acc (r : Item.t) -> Rat.add acc r.size) Rat.zero
-        active_items
-  in
-  {
-    id;
-    tag;
-    capacity;
-    opened;
-    closed;
-    level;
-    active;
-    max_level;
-    all_items = List.rev_map snd placements;
-    placements = List.rev placements;
-    view_cache = None;
-  }
-
-let is_open t = t.closed = None
-let residual t = Rat.sub t.capacity t.level
-let fits t ~size = Rat.(Rat.add t.level size <= t.capacity)
-let active_count t = Hashtbl.length t.active
-let find_active t item_id = Hashtbl.find_opt t.active item_id
-
-(* Ids ever packed, oldest placement first / most recent first,
-   filtered down to the still-active ones.  Each id enters a bin at
-   most once, so membership in [active] identifies the live subset. *)
-let active_oldest_first t =
-  List.rev t.all_items
-  |> List.filter_map (fun id -> Hashtbl.find_opt t.active id)
-
-let active_newest_first t =
-  t.all_items |> List.filter_map (fun id -> Hashtbl.find_opt t.active id)
-
-let insert t ~now (r : Item.t) =
-  t.level <- Rat.add t.level r.size;
-  Hashtbl.replace t.active r.id r;
-  t.max_level <- Rat.max t.max_level t.level;
-  t.all_items <- r.id :: t.all_items;
-  t.placements <- (now, r.id) :: t.placements;
-  t.view_cache <- None
-
-let remove t ~now (r : Item.t) =
-  if not (Hashtbl.mem t.active r.id) then
-    invalid_arg "Bin.remove: item not in bin";
-  Hashtbl.remove t.active r.id;
-  t.level <- Rat.sub t.level r.size;
-  t.view_cache <- None;
-  if Hashtbl.length t.active = 0 then begin
-    t.level <- Rat.zero;
-    t.closed <- Some now
-  end
-
-let to_view t =
-  {
-    bin_id = t.id;
-    bin_tag = t.tag;
-    bin_capacity = t.capacity;
-    bin_level = t.level;
-    bin_residual = residual t;
-    bin_opened = t.opened;
-    bin_count = Hashtbl.length t.active;
-  }
-
-let view t =
-  match t.view_cache with
-  | Some v -> v
-  | None ->
-      let v = to_view t in
-      t.view_cache <- Some v;
-      v
-
-let usage_period t =
-  match t.closed with
-  | None -> invalid_arg "Bin.usage_period: bin still open"
-  | Some closed -> Interval.make t.opened closed

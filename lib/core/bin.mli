@@ -1,101 +1,24 @@
-(** Runtime bin state owned by the simulator.
+(** The policy-facing projection of a bin.
+
+    The engine ([Simulator.Online]) owns all bin state in its store;
+    policies only ever see this read-only view, which deliberately
+    omits the departure times of the items inside — keeping
+    algorithms honestly online.
 
     Each bin carries its own capacity: the paper's model uses one
     uniform capacity [W], but the application layer supports
     heterogeneous server types (bins opened under different tags get
     different capacities — see [Simulator.Online.create]'s
-    [tag_capacity]).
-
-    Policies never touch {!t} directly; they see the read-only
-    {!view} projection, which deliberately omits departure times of the
-    items inside — keeping algorithms honestly online.
-
-    The active-item set is keyed by item id so that the simulator's
-    hot path ({!find_active}, {!insert}, {!remove}) is O(1), and each
-    bin memoises its {!view} ({!view_cache} is dropped on every
-    mutation), so untouched bins never pay a view rebuild. *)
+    [tag_capacity]). *)
 
 open Dbp_num
 
-type t = {
-  id : int;  (** Opening-order index: bin [i] of the paper is id [i]. *)
-  tag : string;  (** Policy-private label (e.g. MFF's ["large"]/["small"]). *)
-  capacity : Rat.t;
-  opened : Rat.t;
-  mutable closed : Rat.t option;  (** Set when the last item departs. *)
-  mutable level : Rat.t;  (** Total size of the items currently inside. *)
-  active : (int, Item.t) Hashtbl.t;  (** Items currently inside, by id. *)
-  mutable max_level : Rat.t;
-  mutable all_items : int list;  (** Ids ever packed, reverse order. *)
-  mutable placements : (Rat.t * int) list;
-      (** (time, item id) for every packing into this bin, reverse
-          order — the raw data behind the reference points [t_{i,j}] of
-          Section 4.3. *)
-  mutable view_cache : view option;
-      (** Memoised {!view}; invalidated by {!insert}/{!remove}. *)
-}
-
-and view = {
-  bin_id : int;
-  bin_tag : string;
+type view = {
+  bin_id : int;  (** Opening-order index: bin [i] of the paper is id [i]. *)
+  bin_tag : string;  (** Policy-private label (e.g. MFF's ["large"]/["small"]). *)
   bin_capacity : Rat.t;
-  bin_level : Rat.t;
+  bin_level : Rat.t;  (** Total size of the items currently inside. *)
   bin_residual : Rat.t;
   bin_opened : Rat.t;
   bin_count : int;  (** Number of items currently inside. *)
 }
-
-val open_bin : id:int -> tag:string -> capacity:Rat.t -> now:Rat.t -> t
-(** @raise Invalid_argument if [capacity <= 0]. *)
-
-val restore :
-  id:int ->
-  tag:string ->
-  capacity:Rat.t ->
-  opened:Rat.t ->
-  closed:Rat.t option ->
-  max_level:Rat.t ->
-  placements:(Rat.t * int) list ->
-  active_items:Item.t list ->
-  t
-(** Rebuilds a bin from its checkpointed image ([placements] and
-    [active_items] both oldest placement first, the serialised order).
-    [level] and [all_items] are re-derived rather than trusted, so the
-    result is internally consistent by construction.
-    @raise Invalid_argument on [capacity <= 0] or a duplicate active
-    item. *)
-
-val is_open : t -> bool
-val residual : t -> Rat.t
-val fits : t -> size:Rat.t -> bool
-
-val active_count : t -> int
-(** Number of active items; O(1). *)
-
-val find_active : t -> int -> Item.t option
-(** The active item with this id, if present; O(1). *)
-
-val active_oldest_first : t -> Item.t list
-(** Active items in placement order (oldest first).  O(ids ever packed
-    into this bin) — used once per bin failure, so the total work over
-    a run is bounded by the number of placements. *)
-
-val active_newest_first : t -> Item.t list
-(** Active items, most recent placement first.  Same cost caveat as
-    {!active_oldest_first}. *)
-
-val insert : t -> now:Rat.t -> Item.t -> unit
-val remove : t -> now:Rat.t -> Item.t -> unit
-(** Removes the item; closes the bin (sets [closed]) if it empties.
-    @raise Invalid_argument if the item is not in the bin. *)
-
-val to_view : t -> view
-(** Always builds a fresh view; prefer {!view}. *)
-
-val view : t -> view
-(** Memoised {!to_view}: returns the physically same view until the
-    next {!insert}/{!remove}. *)
-
-val usage_period : t -> Interval.t
-(** [I_i]: opening time to closing time.
-    @raise Invalid_argument if the bin is still open. *)

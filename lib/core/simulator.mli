@@ -20,9 +20,9 @@ exception Invalid_decision of string
 
 exception Invalid_step of string
 (** An {!Online} caller broke the protocol: time went backwards, an
-    unknown item departed, an item id was reused, an unknown or
-    already-closed bin was failed, or [finish] was called with items
-    still active. *)
+    unknown item departed, an item id was reused or lies outside
+    [[0, max_fast_item]], an unknown or already-closed bin was failed,
+    or [finish] was called with items still active. *)
 
 module Online : sig
   type t
@@ -57,21 +57,29 @@ module Online : sig
       ("views" — open-fleet view assembly, "policy" — the policy
       handler, "commit" — state mutation).
 
-      [grid] (usually {!grid_of_instance}) opts the engine onto the
-      fixed-point fast track: all sizes, times and levels become
-      native ints scaled by the grid denominator, stored unboxed in
-      struct-of-arrays form, and the commit path does no rational
-      arithmetic at all.  Admission is exact-or-refuse — the track is
-      taken only if [capacity] converts exactly, and any later input
-      off the grid (a time, a tag capacity, an out-of-range id) makes
-      the engine fall back to exact arithmetic by losslessly
-      materialising its state, so results are bit-identical either
-      way.  A [sink] or [metrics] tap forces the exact track. *)
+      The engine keeps one struct-of-arrays store, written once over
+      a number representation and instantiated twice.  [grid]
+      (usually {!grid_of_instance}) selects the fixed-point instance:
+      all sizes, times and levels become native ints scaled by the
+      grid denominator, and the commit path does no rational
+      arithmetic at all.  Admission is exact-or-refuse — the instance
+      is taken only if [capacity] converts exactly, and any later
+      input off the grid (a time, a tag capacity) makes the engine
+      rebuild its state image on the exact [Rat] instance, so results
+      are bit-identical either way.  Without a grid the engine runs
+      on the [Rat] instance from the start.  The observability taps
+      work on both instances.
+
+      Both instances store items dense by id: every item id
+      (arrivals and migration targets) must lie in
+      [[0, max_fast_item]]. *)
 
   val arrive : t -> now:Rat.t -> size:Rat.t -> item_id:int -> int
   (** Feeds an arrival to the policy; returns the id of the bin the
-      item was placed in.  Item ids must be fresh, and [now] must not
-      precede any earlier step. *)
+      item was placed in.  Item ids must be fresh (never used, or
+      handed back by {!recycle}) and within
+      [[0, max_fast_item]], and [now] must not precede any earlier
+      step. *)
 
   val depart : t -> now:Rat.t -> item_id:int -> unit
   (** The item leaves; its bin closes if it empties. *)
@@ -111,6 +119,17 @@ module Online : sig
       [new_item_id] was already used, or [now] precedes an earlier
       step. *)
 
+  val recycle : t -> item_id:int -> unit
+  (** Hands back the id of a departed (or evicted, or migrated-away)
+      item, so a later arrival or migration may use it again.  Its
+      placements stay in the bins' histories, so records, images and
+      costs are unaffected.  A long-running caller that recycles every
+      departed id needs no more ids than it has items resident at
+      once ([Dbp_serve] does this).  An image frozen after a recycle
+      may name an id in several placement histories; [thaw] accepts
+      that, and the thawed engine counts every placed id as used.
+      @raise Invalid_step unless [item_id] was used and is inactive. *)
+
   val now : t -> Rat.t option
   (** Time of the latest step. *)
 
@@ -135,18 +154,31 @@ module Online : sig
 
   val audit : t -> unit
   (** Runs the full invariant audit immediately, regardless of the
-      [?audit] flag: open-index structure, store/index agreement,
-      memoised per-bin state vs recompute, item-tracking consistency.
+      [?audit] flag: slot-array structure (["open-index"]), memoised
+      per-bin level, count and view vs a recompute (["bin"]),
+      scaled vs exact columns (["store"]), item-tracking consistency
+      (["item-bin"]).
       @raise Audit.Audit_violation on the first divergence. *)
 
-  val bin_handle : t -> int -> Bin.t option
-  (** The underlying mutable bin record.  Exposed for the auditor's
-      negative tests (corrupt a field, assert {!audit} catches it);
-      mutating it from anywhere else breaks the engine's invariants
-      for real. *)
+  (** Deliberate damage to the engine store, for the auditor's
+      negative tests. *)
+  type corruption =
+    | Bump_level of { bin : int; by : Rat.t }
+        (** The bin's memoised level drifts from its items. *)
+    | Stale_view of int  (** The bin's policy view stops matching it. *)
+    | Close_flag of int
+        (** The bin is marked closed behind the open-slot array. *)
+    | Untrack_item of int
+        (** The active item leaves its bin's tracking; the bin's level,
+            count and view are patched to match, so only the item
+            totals disagree. *)
+
+  val corrupt_for_test : t -> corruption -> unit
+  (** Applies the damage in place.  Test hook only: afterwards the
+      engine is broken for real, and {!audit} must say so. *)
 
   (** The checkpointable image of a running engine: exactly the
-      non-derivable state.  Levels, the open index, item tracking and
+      non-derivable state.  Levels, the open slots, item tracking and
       item-seen sets are re-derived on {!thaw}, so a frozen image (or
       a snapshot file decoded into one) can never rebuild an engine
       with an inconsistent cache. *)
@@ -203,18 +235,19 @@ module Online : sig
       or a volatile policy). *)
 
   val track_name : t -> string
-  (** ["fixed"] while the engine runs on the scaled-integer fast
-      track, ["exact"] otherwise (including after a fallback).  For
-      benchmarks and tests; results never depend on it. *)
+  (** ["fixed"] while the engine runs on the scaled-integer store
+      instance, ["exact"] on the [Rat] instance (including after a
+      fallback).  Taps do not affect it.  For benchmarks and tests;
+      results never depend on it. *)
 end
 
 val max_fast_item : int
-(** [2^23 - 1] — the largest item id the fixed-point fast track
-    accepts.  The fast stores are dense in item id, and the packed
-    replay key below reserves 24 bits for the id: keeping admissible
-    ids strictly below the kind bit means an id can never carry into
-    the kind or time fields.  Larger ids fall back to the exact
-    track and the comparison-sorted event array. *)
+(** [2^23 - 1] — the largest item id the engine accepts.  Its store
+    is dense in item id, and the packed replay key below reserves 24
+    bits for the id: keeping admissible ids strictly below the kind
+    bit means an id can never carry into the kind or time fields.
+    Larger ids raise {!Invalid_step}; callers with sparse ids (the
+    fleet daemon) intern them first. *)
 
 val event_key_time_limit : int
 (** [2^37] — exclusive bound on the scaled times a packed replay key
@@ -222,7 +255,7 @@ val event_key_time_limit : int
     positive OCaml ints for the radix sort). *)
 
 val pack_event_key : time_s:int -> arrival:bool -> id:int -> int
-(** The fast track's replay key, [(time_s << 25) | (kind << 24) | id]
+(** The scaled replay key of {!run}, [(time_s << 25) | (kind << 24) | id]
     with departures' kind bit 0: integer order is exactly
     {!Event.compare}'s (time, departures first, then item id).
     Exposed so tests can pin the layout at its boundaries.

@@ -133,7 +133,7 @@ let r5_allowlisted path =
 
 let r6_hot_modules =
   [
-    "simulator.ml"; "open_index.ml"; "bin.ml"; "packing.ml"; "event.ml";
+    "simulator.ml"; "bin.ml"; "packing.ml"; "event.ml";
     (* The per-arrival policy handlers are on the same O(open bins)
        event path as the engine itself.  [fit.ml] stays exempt: its
        single vetted scan over the open-fleet view is the primitive
@@ -327,7 +327,7 @@ let check_ident ctx ~loc txt =
     when List.mem fn r6_banned_list_fns && r6_applies ctx.path ->
       report ctx ~rule:"R6" ~loc
         "List.%s in a hot-path engine module (O(n) scan); use the dense \
-         store / Open_index / a hashtable"
+         store or a hashtable"
         fn
   | Longident.Ldot (Longident.Lident "Rat", "sum") when r6_applies ctx.path ->
       report ctx ~rule:"R6" ~loc

@@ -444,16 +444,19 @@ let check_t3_spawn ctx spawn_arg =
 
 (* ---- T4: allocation census of the commit/view core ------------------- *)
 
-(* The fast-track per-event core, by name.  Deliberately NOT every
-   [commit_*]: [commit_arrival_exact] is the exact track — the boxed
-   fallback the fast path exists to avoid — and reporting helpers like
-   [fast_timeline_and_cost] run once per run, not per event. *)
+(* The engine store's per-event core, by name: the functions every
+   arrival, departure or migration runs, the number instances' coarse
+   per-event operations among them.  Emission and logging helpers
+   run only when a tap is on, and reporting helpers like
+   [fixed_timeline_and_cost] once per run, so neither is listed. *)
 let t4_hot_name n =
   List.mem n
     [
-      "commit_fast"; "fast_view"; "refresh_slot"; "mark_dirty";
-      "flush_views"; "open_slot_append"; "open_slot_remove"; "fast_views";
-      "fast_advance_clock_s"; "fast_advance_clock";
+      "commit"; "place"; "log_placement"; "occupy"; "release"; "recycle";
+      "open_bin"; "close_bin"; "view_of"; "refresh_slot"; "mark_dirty";
+      "flush_views"; "open_slot_append"; "open_slot_remove"; "views";
+      "view"; "advance_clock_n"; "advance_clock"; "advance"; "fits_at";
+      "occupy_at"; "vacate_at"; "close_at";
     ]
 
 let t4_applies path = Rules.has_infix ~infix:"lib/core/simulator.ml" path

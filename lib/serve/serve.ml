@@ -90,14 +90,23 @@ let stream_error_line (e : TE.stream_error) =
 (* ---- the fleet ------------------------------------------------------- *)
 
 module Fleet = struct
+  (* Items are named by the shard engine's dense id.  An arrival
+     carries its client id along, so the answer names the client even
+     if the engine id has been recycled by the time it is read. *)
   type req =
-    | R_arrive of { seq : int; now : Rat.t; size : Rat.t; item : int }
-    | R_depart of { now : Rat.t; item : int }
+    | R_arrive of {
+        seq : int;
+        now : Rat.t;
+        size : Rat.t;
+        eng : int;
+        client : int;
+      }
+    | R_depart of { now : Rat.t; eng : int }
     | R_fail of { now : Rat.t }
     | R_freeze
 
   type resp =
-    | P_placed of { seq : int; item : int; bin : int }
+    | P_placed of { seq : int; client : int; bin : int }
     | P_victims of (int * Rat.t) list
     | P_frozen of Simulator.Online.Frozen.t
 
@@ -106,9 +115,16 @@ module Fleet = struct
     router : Router.t;
     pool : (req, resp) Shard_pool.t;
     budget : Budget.t;
-    item_shard : (int, int) Hashtbl.t;  (* client id -> shard *)
-    alias : (int, int) Hashtbl.t;  (* client id -> engine id *)
-    owner : (int, int) Hashtbl.t;  (* synthetic engine id -> client id *)
+    (* Client ids are interned at the boundary: each shard engine sees
+       dense ids, whatever the client sends.  [sessions] maps an active
+       client id to its engine slot [eng * shards + shard];
+       [clients.(k).(eng)] maps back.  A departed session's engine id
+       goes on its shard's free list and the engine recycles it, so a
+       shard needs no more ids than it has residents at once. *)
+    sessions : (int, int) Hashtbl.t;
+    clients : int array array;
+    free : int list array;  (* per shard: recycled engine ids *)
+    next_eng : int array;  (* per shard: engine ids ever handed out *)
     lost : (int, unit) Hashtbl.t;  (* shed client ids *)
     dead : bool array;
     mutable now : Rat.t option;
@@ -117,18 +133,19 @@ module Fleet = struct
     mutable migrated : int;
     mutable shed : int;
     mutable events : int;
-  mutable next_synth : int;
+    mutable next_synth : int;  (* router key for the next migration *)
   }
 
   (* Runs on the shard's own domain; [eng] is owned by that domain
      after the spawn edge publishes it. *)
   let handle eng req =
     match req with
-    | R_arrive { seq; now; size; item } ->
-        let bin = Simulator.Online.arrive eng ~now ~size ~item_id:item in
-        [ P_placed { seq; item; bin } ]
-    | R_depart { now; item } ->
-        Simulator.Online.depart eng ~now ~item_id:item;
+    | R_arrive { seq; now; size; eng = id; client } ->
+        let bin = Simulator.Online.arrive eng ~now ~size ~item_id:id in
+        [ P_placed { seq; client; bin } ]
+    | R_depart { now; eng = id } ->
+        Simulator.Online.depart eng ~now ~item_id:id;
+        Simulator.Online.recycle eng ~item_id:id;
         []
     | R_fail { now } ->
         (* Shard loss: every open bin fails; the fleet re-admits the
@@ -156,9 +173,12 @@ module Fleet = struct
           | Some _ as g -> g
           | None -> invalid_arg "Serve.Fleet.create: grid denominator")
     in
+    (* From the environment, as [Simulator.run] defaults it, so
+       [DBP_AUDIT=1] audits the shard engines too. *)
+    let audit = Audit.enabled_from_env () in
     let engines =
       Array.init cfg.shards (fun _ ->
-          Simulator.Online.create ?grid ~policy:cfg.policy
+          Simulator.Online.create ~audit ?grid ~policy:cfg.policy
             ~capacity:cfg.capacity ())
     in
     let pool =
@@ -173,9 +193,10 @@ module Fleet = struct
           ~capacity:cfg.capacity ~k:cfg.split_k;
       pool;
       budget = Budget.create cfg.budget;
-      item_shard = Hashtbl.create 4096;
-      alias = Hashtbl.create 64;
-      owner = Hashtbl.create 64;
+      sessions = Hashtbl.create 4096;
+      clients = Array.make cfg.shards [||];
+      free = Array.make cfg.shards [];
+      next_eng = Array.make cfg.shards 0;
       lost = Hashtbl.create 64;
       dead = Array.make cfg.shards false;
       now = None;
@@ -190,6 +211,33 @@ module Fleet = struct
   let events_applied t = t.events
   let alive t s = not t.dead.(s)
 
+  (* A dense engine id on [shard] for [client]'s session: a recycled
+     one if any.  Requests to one shard are applied in order, so an id
+     freed by a departure is recycled by the engine before the arrival
+     that reuses it. *)
+  let intern t ~shard ~client =
+    let eng =
+      match t.free.(shard) with
+      | eng :: rest ->
+          t.free.(shard) <- rest;
+          eng
+      | [] ->
+          let eng = t.next_eng.(shard) in
+          if eng > Simulator.max_fast_item then
+            protocol "shard %d holds %d sessions, its engine's limit" shard eng;
+          t.next_eng.(shard) <- eng + 1;
+          let back = t.clients.(shard) in
+          if eng >= Array.length back then begin
+            let grown = Array.make (max 1024 (2 * Array.length back)) (-1) in
+            Array.blit back 0 grown 0 (Array.length back);
+            t.clients.(shard) <- grown
+          end;
+          eng
+    in
+    t.clients.(shard).(eng) <- client;
+    Hashtbl.replace t.sessions client ((eng * t.cfg.shards) + shard);
+    eng
+
   let step_time t now =
     (match t.now with
     | Some p when Rat.(now < p) ->
@@ -201,19 +249,18 @@ module Fleet = struct
   let arrive t ~seq ~now ~size ~item =
     step_time t now;
     if item < 0 then protocol "negative item id %d" item;
-    if Hashtbl.mem t.item_shard item then
+    if Hashtbl.mem t.sessions item then
       protocol "item %d is already active" item;
     if Hashtbl.mem t.lost item then
       protocol "item %d was shed by a shard failure" item;
-    if Hashtbl.mem t.owner item then
-      protocol "item %d collides with a migrated session" item;
     if Rat.sign size <= 0 || Rat.(size > t.cfg.capacity) then
       protocol "size %s outside (0, %s]" (Rat.to_string size)
         (Rat.to_string t.cfg.capacity);
     Budget.tick t.budget;
     let shard = Router.route t.router ~alive:(alive t) ~size ~item_id:item in
-    Hashtbl.replace t.item_shard item shard;
-    Shard_pool.submit t.pool ~shard (R_arrive { seq; now; size; item });
+    let eng = intern t ~shard ~client:item in
+    Shard_pool.submit t.pool ~shard
+      (R_arrive { seq; now; size; eng; client = item });
     t.arrivals <- t.arrivals + 1;
     t.events <- t.events + 1
 
@@ -224,20 +271,14 @@ module Fleet = struct
          silently — the client is allowed not to know. *)
       Hashtbl.remove t.lost item
     else
-      match Hashtbl.find_opt t.item_shard item with
+      match Hashtbl.find_opt t.sessions item with
       | None -> protocol "depart of unknown item %d" item
-      | Some shard ->
+      | Some slot ->
           Budget.tick t.budget;
-          let eng_item =
-            match Hashtbl.find_opt t.alias item with
-            | Some e ->
-                Hashtbl.remove t.alias item;
-                Hashtbl.remove t.owner e;
-                e
-            | None -> item
-          in
-          Hashtbl.remove t.item_shard item;
-          Shard_pool.submit t.pool ~shard (R_depart { now; item = eng_item });
+          Hashtbl.remove t.sessions item;
+          let shard = slot mod t.cfg.shards and eng = slot / t.cfg.shards in
+          Shard_pool.submit t.pool ~shard (R_depart { now; eng });
+          t.free.(shard) <- eng :: t.free.(shard);
           t.departures <- t.departures + 1;
           t.events <- t.events + 1
 
@@ -254,11 +295,12 @@ module Fleet = struct
     List.fold_left
       (fun (pl, vs, fr) (shard, resp) ->
         match resp with
-        | P_placed { seq; item; bin } ->
+        | P_placed { seq; client; bin } ->
             if seq >= 0 then
-              ({ p_seq = seq; p_item = item; p_bin = bin; p_shard = shard }
-               :: pl,
-                vs, fr)
+              ( { p_seq = seq; p_item = client; p_bin = bin; p_shard = shard }
+                :: pl,
+                vs,
+                fr )
             else (pl, vs, fr)
         | P_victims v -> (pl, v :: vs, fr)
         | P_frozen f -> (pl, vs, (shard, f) :: fr))
@@ -273,12 +315,13 @@ module Fleet = struct
     let pl, _, _ = split_resps (Shard_pool.quiesce t.pool) in
     pl
 
+  (* The router key of a migrated session: a fresh id from 2^40 up
+     that no client session holds, so the router sees a new arrival.
+     Engines never see it. *)
   let rec fresh_synth t =
     let s = t.next_synth in
     t.next_synth <- s + 1;
-    if Hashtbl.mem t.item_shard s || Hashtbl.mem t.owner s
-       || Hashtbl.mem t.lost s
-    then fresh_synth t
+    if Hashtbl.mem t.sessions s || Hashtbl.mem t.lost s then fresh_synth t
     else s
 
   let fail_shard t ~now k =
@@ -294,32 +337,23 @@ module Fleet = struct
     let pl1, victim_lists, _ = split_resps (Shard_pool.quiesce t.pool) in
     let victims = List.concat victim_lists in
     List.iter
-      (fun (eng_item, size) ->
-        let client =
-          match Hashtbl.find_opt t.owner eng_item with
-          | Some c ->
-              Hashtbl.remove t.owner eng_item;
-              Hashtbl.remove t.alias c;
-              c
-          | None -> eng_item
-        in
+      (fun (eng, size) ->
+        let client = t.clients.(k).(eng) in
         let cost = Budget.cost_of t.budget ~size in
         if Budget.affords t.budget ~cost then begin
           Budget.spend t.budget ~size;
           let synth = fresh_synth t in
-          Hashtbl.replace t.alias client synth;
-          Hashtbl.replace t.owner synth client;
           let shard =
             Router.route t.router ~alive:(alive t) ~size ~item_id:synth
           in
-          Hashtbl.replace t.item_shard client shard;
+          let eng = intern t ~shard ~client in
           Shard_pool.submit t.pool ~shard
-            (R_arrive { seq = -1; now; size; item = synth });
+            (R_arrive { seq = -1; now; size; eng; client });
           t.migrated <- t.migrated + 1
         end
         else begin
           Budget.note_denied t.budget;
-          Hashtbl.remove t.item_shard client;
+          Hashtbl.remove t.sessions client;
           Hashtbl.replace t.lost client ();
           t.shed <- t.shed + 1
         end)
@@ -364,7 +398,7 @@ module Fleet = struct
         Array.fold_left (fun n d -> if d then n else n + 1) 0 t.dead;
       su_arrivals = t.arrivals;
       su_departures = t.departures;
-      su_active = Hashtbl.length t.item_shard;
+      su_active = Hashtbl.length t.sessions;
       su_migrated = t.migrated;
       su_shed = t.shed;
       su_bins_opened =
@@ -378,12 +412,34 @@ module Fleet = struct
 
   let shutdown t = ignore (Shard_pool.shutdown t.pool)
 
+  (* Shard [k]'s active sessions as (engine id, client id), by engine
+     id: the map from a shard image's active items back to clients. *)
+  let session_map t k =
+    Hashtbl.fold
+      (fun client slot acc ->
+        if slot mod t.cfg.shards = k then (slot / t.cfg.shards, client) :: acc
+        else acc)
+      t.sessions []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+  let write_sessions t ~path k =
+    let oc = open_out_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        output_string oc "engine,client\n";
+        List.iter
+          (fun (eng, client) -> Printf.fprintf oc "%d,%d\n" eng client)
+          (session_map t k))
+
   let write_checkpoints t ~prefix frozen =
     let module S = Dbp_checkpoint.Snapshot in
-    Array.to_list
-      (Array.mapi
+    List.concat
+    @@ Array.to_list
+    @@ Array.mapi
          (fun k f ->
            let path = Printf.sprintf "%s.shard%d" prefix k in
+           let sessions = path ^ ".sessions" in
            let snap =
              {
                S.meta =
@@ -398,8 +454,9 @@ module Fleet = struct
              }
            in
            Dbp_checkpoint.Checkpoint.save_file path snap;
-           path)
-         frozen)
+           write_sessions t ~path:sessions k;
+           [ path; sessions ])
+         frozen
 end
 
 (* ---- non-blocking output queue -------------------------------------- *)

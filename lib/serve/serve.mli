@@ -34,7 +34,8 @@
     migration path (PR 6's {!Dbp_repack.Budget}), and sessions the
     budget cannot afford are shed — the degradation ladder from
     full-fleet to best-effort.  On SIGTERM the daemon quiesces,
-    flushes one [dbp-checkpoint/1] snapshot per shard and exits 0. *)
+    flushes one [dbp-checkpoint/1] snapshot per shard (with the
+    shard's session map beside it) and exits 0. *)
 
 open Dbp_num
 open Dbp_core
@@ -81,15 +82,29 @@ val placement_line : placement -> string
 val summary_line : config -> summary -> string
 
 (** The transport-independent fleet: shard engines, router, session
-    tables, budget.  Exposed so tests can drive it directly. *)
+    tables, budget.  Exposed so tests can drive it directly.
+
+    Client item ids are interned at the boundary: each shard engine
+    numbers its sessions densely from 0 (a migrated session gets a
+    fresh id on its new shard), so any non-negative client id keeps
+    the engines on their fixed-point store.  A departed session's
+    engine id is recycled ({!Dbp_core.Simulator.Online.recycle}), so
+    a shard's engine ids stay below its peak number of resident
+    sessions however many sessions it serves.  Placement replies carry
+    the client's id; engine images ({!snapshot}) carry engine ids, and
+    {!write_checkpoints} writes the map back to client ids. *)
 module Fleet : sig
   type t
 
   val create : config -> t
+  (** Under [DBP_AUDIT=1] ({!Dbp_core.Audit.enabled_from_env}) every
+      shard engine runs in audit mode. *)
 
   val arrive : t -> seq:int -> now:Rat.t -> size:Rat.t -> item:int -> unit
   (** Route and enqueue an arrival.  @raise Protocol on duplicate
-      ids, time regression, or sizes outside (0, capacity]. *)
+      ids, time regression, sizes outside (0, capacity], or a shard
+      that already holds [Simulator.max_fast_item + 1] resident
+      sessions. *)
 
   val depart : t -> now:Rat.t -> item:int -> unit
   (** @raise Protocol for an unknown item.  Departures of shed
@@ -124,8 +139,11 @@ module Fleet : sig
 
   val write_checkpoints :
     t -> prefix:string -> Simulator.Online.Frozen.t array -> string list
-  (** One [dbp-checkpoint/1] file per shard, [PREFIX.shard<k>];
-      returns the paths written. *)
+  (** One [dbp-checkpoint/1] file per shard, [PREFIX.shard<k>], and
+      beside it [PREFIX.shard<k>.sessions]: a CSV with header
+      [engine,client] and one row per active session on the shard, in
+      engine id order — the client of each active item in the image.
+      Returns the paths written. *)
 end
 
 val install_sigterm : unit -> unit -> bool

@@ -64,60 +64,58 @@ let test_audit_under_faults () =
 
 (* ---- corruption is caught, by invariant family ---------------------- *)
 
-let engine_with_items () =
-  let t = Simulator.Online.create ~policy:First_fit.policy ~capacity:Rat.one () in
+(* Every corruption test runs on both store instances: the fixed one
+   (grid 1/8 holds every value below) and the Rat one. *)
+let instances =
+  [ ("fixed", Simulator.grid_of_den 8); ("exact", None) ]
+
+let engine_with_items grid =
+  let t =
+    Simulator.Online.create ?grid ~policy:First_fit.policy ~capacity:Rat.one ()
+  in
   ignore (Simulator.Online.arrive t ~now:Rat.zero ~size:(r 1 2) ~item_id:0);
   ignore (Simulator.Online.arrive t ~now:(r 1 2) ~size:(r 1 4) ~item_id:1);
   t
 
-let bin0 t =
-  match Simulator.Online.bin_handle t 0 with
-  | Some b -> b
-  | None -> Alcotest.fail "bin 0 missing"
-
-let expect_violation ~family f =
+let expect_violation ~family name f =
   match f () with
-  | () -> Alcotest.failf "corruption not caught (wanted a %s violation)" family
+  | () ->
+      Alcotest.failf "%s: corruption not caught (wanted a %s violation)" name
+        family
   | exception Audit.Audit_violation v ->
-      Alcotest.(check string) "violation family" family v.Audit.check
+      Alcotest.(check string) (name ^ ": violation family") family v.Audit.check
+
+let corruption_caught ~family damage () =
+  List.iter
+    (fun (name, grid) ->
+      let t = engine_with_items grid in
+      Alcotest.(check string) "instance" name (Simulator.Online.track_name t);
+      Simulator.Online.corrupt_for_test t damage;
+      expect_violation ~family name (fun () -> Simulator.Online.audit t))
+    instances
 
 let test_healthy_engine_passes () =
-  let t = engine_with_items () in
-  Simulator.Online.audit t
+  List.iter
+    (fun (_, grid) -> Simulator.Online.audit (engine_with_items grid))
+    instances
 
-let test_corrupt_level () =
-  let t = engine_with_items () in
-  let b = bin0 t in
-  b.Bin.level <- Rat.add b.Bin.level (r 1 8);
-  expect_violation ~family:"bin" (fun () -> Simulator.Online.audit t)
+let test_corrupt_level =
+  corruption_caught ~family:"bin"
+    (Simulator.Online.Bump_level { bin = 0; by = r 1 8 })
 
-let test_corrupt_view_cache () =
-  let t = engine_with_items () in
-  let b = bin0 t in
-  let v = Bin.view b in
-  b.Bin.view_cache <- Some { v with Bin.bin_level = Rat.zero };
-  expect_violation ~family:"bin" (fun () -> Simulator.Online.audit t)
+let test_corrupt_view_cache =
+  corruption_caught ~family:"bin" (Simulator.Online.Stale_view 0)
 
-(* Closing a bin behind the index's back surfaces in the open-index
-   walk (every reachable slot must hold an open bin), which runs
-   before the store sweep. *)
-let test_corrupt_closed_flag () =
-  let t = engine_with_items () in
-  let b = bin0 t in
-  b.Bin.closed <- Some Rat.zero;
-  expect_violation ~family:"open-index" (fun () -> Simulator.Online.audit t)
+(* Closing a bin behind the slot array's back surfaces in the slot
+   checks, which run before the per-bin recompute. *)
+let test_corrupt_closed_flag =
+  corruption_caught ~family:"open-index" (Simulator.Online.Close_flag 0)
 
-let test_corrupt_item_tracking () =
-  let t = engine_with_items () in
-  let b = bin0 t in
-  (* Drop item 0 from the bin consistently (level, max_level and view
-     cache all patched up) so only the simulator's item->bin tracking
-     disagrees: the layered sweep must still catch it. *)
-  Hashtbl.remove b.Bin.active 0;
-  b.Bin.level <- r 1 4;
-  b.Bin.max_level <- r 1 4;
-  b.Bin.view_cache <- None;
-  expect_violation ~family:"item-bin" (fun () -> Simulator.Online.audit t)
+(* Item 0 leaves its bin consistently (level, count and view patched
+   up), so only the item totals disagree: the layered sweep must still
+   catch it. *)
+let test_corrupt_item_tracking =
+  corruption_caught ~family:"item-bin" (Simulator.Online.Untrack_item 0)
 
 let test_corrupt_total_cost () =
   let instance =
@@ -132,7 +130,7 @@ let test_corrupt_total_cost () =
   let tampered =
     { packing with Packing.total_cost = Rat.add packing.Packing.total_cost Rat.one }
   in
-  expect_violation ~family:"cost-conservation" (fun () ->
+  expect_violation ~family:"cost-conservation" "packing" (fun () ->
       Audit.check_packing tampered)
 
 (* ---- DBP_AUDIT environment toggle ----------------------------------- *)

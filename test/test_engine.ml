@@ -1,8 +1,9 @@
 (* Engine equivalence: the O(open-bins) simulator must be bit-identical
    to the retained seed engine ([Simulator_naive]) — same packings,
    same costs, same any-fit violations — across every policy, random
-   seeds, and fail_bin storms.  Plus unit tests for the open-bin index
-   invariants (opening order, per-bin view-cache invalidation). *)
+   seeds, and fail_bin storms.  Plus unit tests for the store's open-bin
+   slots (opening order, per-bin view reuse) on both numeric
+   instances. *)
 
 open Dbp_num
 open Dbp_core
@@ -186,10 +187,47 @@ let test_fixed_storm_equivalence () =
 
 (* ---- two-track engine: fixed fast path vs forced exact -------------- *)
 
+let grid_of_den d =
+  match Fixed.scale_of_den d with Some s -> s | None -> assert false
+
+(* Both store instances: the fixed one (on a grid) and the Rat one. *)
+let instances = [ ("fixed", Some (grid_of_den 8)); ("exact", None) ]
+
+let view_ids o =
+  List.map (fun (v : Bin.view) -> v.Bin.bin_id) (Simulator.Online.open_bins o)
+
+(* Unit-size items open one bin each; closing the middle, head and
+   tail bins must keep the survivors in opening order, and a new bin
+   appends after the gaps. *)
+let opening_order_case (name, grid) =
+  let o =
+    Simulator.Online.create ?grid ~policy:First_fit.policy ~capacity:Rat.one ()
+  in
+  Alcotest.(check string) "instance" name (Simulator.Online.track_name o);
+  let ids = Alcotest.(check (list int)) in
+  for i = 0 to 3 do
+    ignore (Simulator.Online.arrive o ~now:Rat.zero ~size:Rat.one ~item_id:i)
+  done;
+  ids "opening order" [ 0; 1; 2; 3 ] (view_ids o);
+  Simulator.Online.depart o ~now:Rat.one ~item_id:1;
+  ids "middle close" [ 0; 2; 3 ] (view_ids o);
+  Simulator.Online.depart o ~now:Rat.one ~item_id:0;
+  ids "head close" [ 2; 3 ] (view_ids o);
+  Simulator.Online.depart o ~now:Rat.one ~item_id:3;
+  ids "tail close" [ 2 ] (view_ids o);
+  ignore (Simulator.Online.arrive o ~now:Rat.two ~size:Rat.one ~item_id:4);
+  ids "append after gaps" [ 2; 4 ] (view_ids o);
+  Simulator.Online.audit o;
+  Simulator.Online.open_bins o
+
 (* [run] picks the fixed-point track by itself (grid_of_instance);
    [~grid:None] pins the exact track.  The packings must be
    bit-identical — cost strings, timelines, placements, the lot. *)
 let test_fixed_vs_exact_runs () =
+  (match List.map opening_order_case instances with
+  | [ vf; ve ] ->
+      Alcotest.(check bool) "hand-driven views identical" true (vf = ve)
+  | _ -> assert false);
   List.iter
     (fun seed ->
       let instance =
@@ -257,90 +295,134 @@ let test_degrade_mid_run () =
   if not (packing_equal pf pe) then
     Alcotest.fail "degraded packing diverges from always-exact"
 
-(* ---- open-bin index invariants -------------------------------------- *)
+(* ---- open-bin slots ------------------------------------------------ *)
 
-let bin id = Bin.open_bin ~id ~tag:"t" ~capacity:Rat.one ~now:Rat.zero
-let view_ids ix = List.map (fun (v : Bin.view) -> v.Bin.bin_id) (Open_index.views ix)
-
-let test_index_opening_order () =
-  let ix = Open_index.create () in
-  Alcotest.(check bool) "empty" true (Open_index.is_empty ix);
-  let b0 = bin 0 and b1 = bin 1 and b2 = bin 2 and b3 = bin 3 in
-  List.iter (Open_index.add ix) [ b0; b1; b2; b3 ];
-  Alcotest.(check (list int)) "opening order" [ 0; 1; 2; 3 ] (view_ids ix);
-  Open_index.remove ix b1;
-  Alcotest.(check (list int)) "middle removal" [ 0; 2; 3 ] (view_ids ix);
-  Open_index.remove ix b0;
-  Alcotest.(check (list int)) "head removal" [ 2; 3 ] (view_ids ix);
-  Open_index.remove ix b3;
-  Alcotest.(check (list int)) "tail removal" [ 2 ] (view_ids ix);
-  Alcotest.(check int) "cardinal" 1 (Open_index.cardinal ix);
-  Alcotest.(check (option int)) "oldest" (Some 2)
-    (Option.map (fun (b : Bin.t) -> b.Bin.id) (Open_index.oldest ix));
-  Alcotest.(check (option int)) "newest" (Some 2)
-    (Option.map (fun (b : Bin.t) -> b.Bin.id) (Open_index.newest ix));
-  let b9 = bin 9 in
-  Open_index.add ix b9;
-  Alcotest.(check (list int)) "append after gaps" [ 2; 9 ] (view_ids ix)
-
-let raises_invalid_arg name f =
-  Alcotest.(check bool) name true
-    (try
-       f ();
-       false
-     with Invalid_argument _ -> true)
-
-let test_index_misuse () =
-  let ix = Open_index.create () in
-  let b5 = bin 5 in
-  Open_index.add ix b5;
-  raises_invalid_arg "double add" (fun () -> Open_index.add ix b5);
-  raises_invalid_arg "out-of-order id" (fun () -> Open_index.add ix (bin 3));
-  raises_invalid_arg "removing a non-member" (fun () ->
-      Open_index.remove ix (bin 7));
-  Open_index.remove ix b5;
-  raises_invalid_arg "double remove" (fun () -> Open_index.remove ix b5)
-
-let test_view_cache_invalidation () =
-  let b = bin 0 in
-  let v1 = Bin.view b in
-  Alcotest.(check bool) "memoised view physically reused" true
-    (v1 == Bin.view b);
-  let stub ~id =
-    Item.make ~id ~size:(r 1 4) ~arrival:Rat.zero ~departure:Rat.one
-  in
-  Bin.insert b ~now:Rat.zero (stub ~id:0);
-  let v2 = Bin.view b in
-  Alcotest.(check bool) "insert invalidates the cache" true (not (v1 == v2));
-  Alcotest.(check int) "fresh view sees the insert" 1 v2.Bin.bin_count;
-  check_rat "fresh view level" (r 1 4) v2.Bin.bin_level;
-  Alcotest.(check bool) "fresh view memoised again" true (v2 == Bin.view b);
-  Bin.insert b ~now:Rat.zero (stub ~id:1);
-  Bin.remove b ~now:Rat.one (stub ~id:0);
-  let v3 = Bin.view b in
-  Alcotest.(check bool) "remove invalidates the cache" true (not (v2 == v3));
-  Alcotest.(check int) "count after remove" 1 v3.Bin.bin_count;
-  Bin.remove b ~now:Rat.two (stub ~id:1);
-  Alcotest.(check bool) "empty bin closed" true (not (Bin.is_open b));
-  Alcotest.(check int) "closed view count" 0 (Bin.view b).Bin.bin_count
-
+(* Views are re-projected only for bins an event touched: the other
+   open bins hand back the physically same record. *)
 let test_index_views_reuse_cached () =
-  let ix = Open_index.create () in
-  let b0 = bin 0 and b1 = bin 1 in
-  Open_index.add ix b0;
-  Open_index.add ix b1;
-  let first = Open_index.views ix in
-  Bin.insert b1 ~now:Rat.zero
-    (Item.make ~id:0 ~size:(r 1 2) ~arrival:Rat.zero ~departure:Rat.one);
-  let second = Open_index.views ix in
-  (match (first, second) with
-  | [ a0; _ ], [ c0; c1 ] ->
-      Alcotest.(check bool) "untouched bin's view physically reused" true
-        (a0 == c0);
-      Alcotest.(check int) "touched bin's view rebuilt" 1 c1.Bin.bin_count
-  | _ -> Alcotest.fail "expected two views");
-  Alcotest.(check bool) "list rebuilt each call" true
-    (Open_index.views ix <> [] )
+  List.iter
+    (fun (name, grid) ->
+      let o =
+        Simulator.Online.create ?grid ~policy:First_fit.policy
+          ~capacity:Rat.one ()
+      in
+      ignore (Simulator.Online.arrive o ~now:Rat.zero ~size:(r 3 4) ~item_id:0);
+      ignore (Simulator.Online.arrive o ~now:Rat.zero ~size:(r 1 2) ~item_id:1);
+      let first = Simulator.Online.open_bins o in
+      ignore (Simulator.Online.arrive o ~now:Rat.zero ~size:(r 1 2) ~item_id:2);
+      let second = Simulator.Online.open_bins o in
+      match (first, second) with
+      | [ a0; a1 ], [ c0; c1 ] ->
+          Alcotest.(check bool)
+            (name ^ ": untouched bin's view physically reused")
+            true (a0 == c0);
+          Alcotest.(check bool) (name ^ ": touched bin's view rebuilt") true
+            (not (a1 == c1));
+          Alcotest.(check int) (name ^ ": rebuilt view sees the insert") 2
+            c1.Bin.bin_count;
+          check_rat (name ^ ": rebuilt view level") Rat.one c1.Bin.bin_level
+      | _ -> Alcotest.fail "expected two views")
+    instances
+
+(* The store is dense in item id: ids outside [0, max_fast_item] are a
+   protocol error on both instances, not a silent track change. *)
+let test_item_id_range () =
+  List.iter
+    (fun (name, grid) ->
+      let o =
+        Simulator.Online.create ?grid ~policy:First_fit.policy
+          ~capacity:Rat.one ()
+      in
+      List.iter
+        (fun id ->
+          match
+            Simulator.Online.arrive o ~now:Rat.zero ~size:(r 1 2) ~item_id:id
+          with
+          | _ -> Alcotest.failf "%s: id %d admitted" name id
+          | exception Simulator.Invalid_step _ -> ())
+        [ -1; Simulator.max_fast_item + 1; 1 lsl 40 ];
+      ignore
+        (Simulator.Online.arrive o ~now:Rat.zero ~size:(r 1 2)
+           ~item_id:Simulator.max_fast_item);
+      Alcotest.(check string) (name ^ ": no track change") name
+        (Simulator.Online.track_name o))
+    instances
+
+(* A recycled id may be placed again, even in the bin that still
+   lists its first placement: only the latest placement is live for
+   victims, images and the audit, the history keeps both, an image
+   with the id twice thaws, and a degrade keeps the id free. *)
+let test_recycled_ids () =
+  List.iter
+    (fun (name, grid) ->
+      let module O = Simulator.Online in
+      let o = O.create ~audit:true ?grid ~policy:First_fit.policy
+          ~capacity:Rat.one () in
+      let raises what f =
+        match f () with
+        | _ -> Alcotest.failf "%s: %s admitted" name what
+        | exception Simulator.Invalid_step _ -> ()
+      in
+      let items = Alcotest.(check (list (pair int string))) in
+      let active o =
+        List.map (fun (i, sz) -> (i, Rat.to_string sz)) (O.active_items_in o 0)
+      in
+      ignore (O.arrive o ~now:Rat.zero ~size:(r 1 2) ~item_id:0);
+      ignore (O.arrive o ~now:Rat.zero ~size:(r 1 4) ~item_id:1);
+      raises "recycle of an active id" (fun () -> O.recycle o ~item_id:0);
+      raises "recycle of an unused id" (fun () -> O.recycle o ~item_id:5);
+      O.depart o ~now:Rat.one ~item_id:0;
+      raises "reuse without recycle" (fun () ->
+          O.arrive o ~now:Rat.one ~size:(r 1 8) ~item_id:0);
+      O.recycle o ~item_id:0;
+      Alcotest.(check int) (name ^ ": same bin") 0
+        (O.arrive o ~now:Rat.two ~size:(r 1 2) ~item_id:0);
+      items (name ^ ": live placements") [ (0, "1/2"); (1, "1/4") ] (active o);
+      let frozen = O.freeze o in
+      let b0 = List.hd frozen.O.Frozen.s_bins in
+      Alcotest.(check (list int)) (name ^ ": history keeps both")
+        [ 0; 1; 0 ] (List.map snd b0.O.Frozen.b_placements);
+      let thawed = O.thaw ~audit:true ~policy:First_fit.policy frozen in
+      items (name ^ ": thawed live placements") (active o) (active thawed);
+      O.depart o ~now:(ri 3) ~item_id:1;
+      items (name ^ ": victims") [ (0, "1/2") ]
+        (List.map
+           (fun (i, sz) -> (i, Rat.to_string sz))
+           (O.fail_bin o ~now:(ri 4) ~bin_id:0));
+      O.recycle o ~item_id:0;
+      (* 13/3 is off the 1/8 grid: the fixed store degrades here. *)
+      ignore (O.arrive o ~now:(r 13 3) ~size:(r 1 3) ~item_id:0);
+      Alcotest.(check string) (name ^ ": exact after off-grid time") "exact"
+        (O.track_name o);
+      O.audit o)
+    instances
+
+(* Taps no longer force the exact instance: a traced engine on a grid
+   stays fixed, and its trace is byte-identical to the Rat run's. *)
+let test_sink_keeps_fixed_track () =
+  let instance =
+    Dbp_workload.Generator.generate ~seed:5L
+      { Dbp_workload.Spec.default with Dbp_workload.Spec.count = 200 }
+  in
+  let grid = Simulator.grid_of_instance instance in
+  let trace grid =
+    let buf = Buffer.create 4096 in
+    let sink = Dbp_obs.Sink.to_buffer buf in
+    let o =
+      Simulator.Online.create ~sink ?grid ~policy:Best_fit.policy
+        ~capacity:(Instance.capacity instance) ()
+    in
+    let track = Simulator.Online.track_name o in
+    List.iter (Simulator.apply_event o) (Event.of_instance instance);
+    ignore (Simulator.Online.finish o ~instance);
+    Dbp_obs.Sink.flush sink;
+    (track, Buffer.contents buf)
+  in
+  let track_fixed, fixed = trace grid and track_exact, exact = trace None in
+  Alcotest.(check string) "traced run stays fixed" "fixed" track_fixed;
+  Alcotest.(check string) "grid-less run is exact" "exact" track_exact;
+  Alcotest.(check bool) "trace is non-trivial" true (String.length fixed > 1000);
+  Alcotest.(check string) "trace byte-identical" exact fixed
 
 (* ---- packed event keys: id-overflow audit --------------------------- *)
 
@@ -406,11 +488,12 @@ let suite =
       test_fixed_vs_exact_runs;
     Alcotest.test_case "mid-run degrade is invisible" `Quick
       test_degrade_mid_run;
-    Alcotest.test_case "open-bin index: opening order" `Quick
-      test_index_opening_order;
-    Alcotest.test_case "open-bin index: misuse raises" `Quick test_index_misuse;
-    Alcotest.test_case "bin view cache invalidation" `Quick
-      test_view_cache_invalidation;
     Alcotest.test_case "index views reuse cached bin views" `Quick
       test_index_views_reuse_cached;
+    Alcotest.test_case "item ids outside the store range raise" `Quick
+      test_item_id_range;
+    Alcotest.test_case "sink keeps the fixed track, trace identical" `Quick
+      test_sink_keeps_fixed_track;
+    Alcotest.test_case "recycled ids keep bin histories" `Quick
+      test_recycled_ids;
   ]

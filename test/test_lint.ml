@@ -103,7 +103,7 @@ let test_r5 () =
 
 let test_r6 () =
   check_fires "R6" "lib/core/simulator.ml" "let f x xs = List.mem x xs\n";
-  check_fires "R6" "lib/core/open_index.ml" "let f k l = List.assoc k l\n";
+  check_fires "R6" "lib/core/packing.ml" "let f k l = List.assoc k l\n";
   (* fit.ml's O(open-bins) policy scan is by design; analysis is cold *)
   (* the per-draw workload sampler is hot too (O(catalog) List.nth
      regression) *)

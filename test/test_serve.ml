@@ -272,6 +272,184 @@ let test_shard_loss_sheds_on_zero_budget () =
   | exception Serve.Protocol _ -> ());
   Serve.Fleet.shutdown fleet
 
+(* Client ids are interned: a client id past the engine's id range and
+   the migrations of two shard losses leave every shard engine on ids
+   below its session count, the cost is that of the same stream under
+   small client ids, and replies still name the client's ids. *)
+let test_interned_ids_survive_failover () =
+  let instance =
+    Dbp_workload.Generator.generate ~seed:11L
+      { Dbp_workload.Spec.default with Dbp_workload.Spec.count = 400 }
+  in
+  let big = (1 lsl 23) + 3 in
+  let events = Event.of_instance instance in
+  let n = List.length events in
+  let run client =
+    let cfg =
+      {
+        (Serve.default_config ()) with
+        Serve.shards = 3;
+        policy = Option.get (Algorithms.find "first-fit");
+        grid_den = Some 10000;
+      }
+    in
+    let fleet = Serve.Fleet.create cfg in
+    let placed = ref [] in
+    let collect pl = placed := List.rev_append pl !placed in
+    List.iteri
+      (fun i (e : Event.t) ->
+        if i = n / 3 then collect (Serve.Fleet.fail_shard fleet ~now:e.time 2);
+        if i = 2 * n / 3 then
+          collect (Serve.Fleet.fail_shard fleet ~now:e.time 1);
+        let item = client e.item.Item.id in
+        (match e.kind with
+        | Event.Arrival ->
+            Serve.Fleet.arrive fleet ~seq:i ~now:e.time ~size:e.item.Item.size
+              ~item
+        | Event.Departure -> Serve.Fleet.depart fleet ~now:e.time ~item);
+        collect (Serve.Fleet.placements fleet))
+      events;
+    collect (Serve.Fleet.quiesce fleet);
+    let _, frozen = Serve.Fleet.snapshot fleet in
+    let su = Serve.Fleet.summarize fleet frozen in
+    Serve.Fleet.shutdown fleet;
+    (!placed, frozen, su)
+  in
+  let client id = if id = 3 then big else id in
+  let placed, frozen, su = run client in
+  let _, _, reference = run Fun.id in
+  Alcotest.(check bool) "sessions migrated" true (su.Serve.su_migrated > 0);
+  Alcotest.(check int) "nothing shed" 0 su.Serve.su_shed;
+  Array.iteri
+    (fun k (f : Simulator.Online.Frozen.t) ->
+      let ids =
+        List.concat_map
+          (fun (b : Simulator.Online.Frozen.bin) ->
+            List.map snd b.Simulator.Online.Frozen.b_placements)
+          f.Simulator.Online.Frozen.s_bins
+        |> List.sort compare
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d engine ids below its session count" k)
+        true
+        (List.for_all (fun id -> id >= 0 && id < List.length ids) ids))
+    frozen;
+  Alcotest.(check string) "fleet cost as with small client ids"
+    (Rat.to_string reference.Serve.su_cost)
+    (Rat.to_string su.Serve.su_cost);
+  Alcotest.(check (list string)) "shard costs as with small client ids"
+    (Array.to_list (Array.map Rat.to_string reference.Serve.su_shard_costs))
+    (Array.to_list (Array.map Rat.to_string su.Serve.su_shard_costs));
+  Alcotest.(check (list int)) "replies carry client ids"
+    (List.init (Instance.size instance) client |> List.sort compare)
+    (List.map (fun (p : Serve.placement) -> p.Serve.p_item) placed
+    |> List.sort compare)
+
+(* Engine ids are recycled: a long stream with few sessions resident at
+   once keeps every shard engine's ids below that residency however many
+   sessions it serves, with every client id past the engine's id range;
+   a one-shard fleet still costs exactly what the batch simulator does;
+   and the checkpoint's session map names the clients of the image's
+   active items. *)
+let test_engine_ids_recycle () =
+  let sessions = 5_000 and stay = 3 and base = 1 lsl 23 in
+  let size i = if i mod 4 = 0 then r 3 5 else r 1 5 in
+  (* Session i arrives at time i and departs at time i + stay, unless
+     it is one of the last [keep]. *)
+  let run ~shards ~keep =
+    let cfg =
+      { (Serve.default_config ()) with Serve.shards; grid_den = Some 5 }
+    in
+    let fleet = Serve.Fleet.create cfg in
+    let placed = ref [] in
+    for t = 0 to sessions + stay - 1 do
+      let d = t - stay in
+      if d >= 0 && d < sessions - keep then
+        Serve.Fleet.depart fleet ~now:(ri t) ~item:(base + d);
+      if t < sessions then
+        Serve.Fleet.arrive fleet ~seq:t ~now:(ri t) ~size:(size t)
+          ~item:(base + t);
+      placed := List.rev_append (Serve.Fleet.placements fleet) !placed
+    done;
+    let pl, frozen = Serve.Fleet.snapshot fleet in
+    Array.iteri
+      (fun k (f : Simulator.Online.Frozen.t) ->
+        let ids =
+          List.concat_map
+            (fun (b : Simulator.Online.Frozen.bin) ->
+              List.map snd b.Simulator.Online.Frozen.b_placements)
+            f.Simulator.Online.Frozen.s_bins
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d shards: shard %d ids below the residency" shards
+             k)
+          true
+          (List.for_all (fun id -> id >= 0 && id < stay) ids))
+      frozen;
+    Alcotest.(check (list int))
+      (Printf.sprintf "%d shards: replies carry client ids" shards)
+      (List.init sessions (fun i -> base + i))
+      (List.sort compare
+         (List.map
+            (fun (p : Serve.placement) -> p.Serve.p_item)
+            (List.rev_append pl !placed)));
+    (fleet, frozen)
+  in
+  let fleet, frozen = run ~shards:1 ~keep:0 in
+  let instance =
+    Instance.create ~capacity:Rat.one
+      (List.init sessions (fun i ->
+           Item.make ~id:i ~size:(size i) ~arrival:(ri i)
+             ~departure:(ri (i + stay))))
+  in
+  let batch = Simulator.run ~policy:First_fit.policy instance in
+  Alcotest.(check string) "one shard costs what simulate does"
+    (Rat.to_string batch.Packing.total_cost)
+    (Rat.to_string (Serve.Fleet.summarize fleet frozen).Serve.su_cost);
+  Serve.Fleet.shutdown fleet;
+  let fleet, frozen = run ~shards:2 ~keep:stay in
+  let prefix = Filename.temp_file "dbp-serve" "ck" in
+  let paths = Serve.Fleet.write_checkpoints fleet ~prefix frozen in
+  let mapped =
+    List.concat
+      (List.mapi
+         (fun k (f : Simulator.Online.Frozen.t) ->
+           let path = Printf.sprintf "%s.shard%d.sessions" prefix k in
+           let rows =
+             match
+               String.split_on_char '\n'
+                 (In_channel.with_open_bin path In_channel.input_all)
+             with
+             | header :: rows ->
+                 Alcotest.(check string) "session map header" "engine,client"
+                   header;
+                 List.filter_map
+                   (fun row ->
+                     match String.split_on_char ',' row with
+                     | [ e; c ] -> Some (int_of_string e, int_of_string c)
+                     | _ -> None)
+                   rows
+             | [] -> []
+           in
+           let active =
+             List.concat_map
+               (fun (b : Simulator.Online.Frozen.bin) ->
+                 List.map fst b.Simulator.Online.Frozen.b_active)
+               f.Simulator.Online.Frozen.s_bins
+             |> List.sort compare
+           in
+           Alcotest.(check (list int))
+             (Printf.sprintf "shard %d map covers its active items" k)
+             active (List.map fst rows);
+           List.map snd rows)
+         (Array.to_list frozen))
+  in
+  List.iter Sys.remove (prefix :: paths);
+  Alcotest.(check (list int)) "map names the resident clients"
+    (List.init stay (fun i -> base + sessions - stay + i))
+    (List.sort compare mapped);
+  Serve.Fleet.shutdown fleet
+
 let test_fail_last_shard_rejected () =
   let fleet = Serve.Fleet.create (Serve.default_config ()) in
   (match Serve.Fleet.fail_shard fleet ~now:Rat.one 0 with
@@ -337,6 +515,9 @@ let suite =
       test_shard_loss_migrates;
     Alcotest.test_case "shard loss sheds on zero budget" `Quick
       test_shard_loss_sheds_on_zero_budget;
+    Alcotest.test_case "interned ids survive failover" `Quick
+      test_interned_ids_survive_failover;
+    Alcotest.test_case "engine ids recycle" `Quick test_engine_ids_recycle;
     Alcotest.test_case "last shard cannot fail" `Quick
       test_fail_last_shard_rejected;
     Alcotest.test_case "protocol rejections" `Quick test_protocol_rejections;

@@ -205,20 +205,20 @@ let spammy_body =
 let test_t4 () =
   (* four tuples beat the boxed threshold in a hot function *)
   check_fires "T4" "lib/core/simulator.ml"
-    ("let commit_fast x =\n" ^ spammy_body);
+    ("let commit x =\n" ^ spammy_body);
   (* same body, cold name: not on the per-event path *)
   check_silent "T4" "lib/core/simulator.ml"
     ("let report_summary x =\n" ^ spammy_body);
   (* same body, hot name, outside the engine: T4 is simulator-scoped *)
   check_silent "T4" "lib/opt/fixture.ml"
-    ("let commit_fast x =\n" ^ spammy_body);
+    ("let commit x =\n" ^ spammy_body);
   (* a lean hot function passes *)
   check_silent "T4" "lib/core/simulator.ml"
     "let refresh_slot x = x + 1\n";
   (* rational temporaries count against their own threshold *)
   check_fires "T4" "lib/core/simulator.ml"
     (rat_stub
-   ^ "let commit_fast (a : Rat.t) b =\n\
+   ^ "let commit (a : Rat.t) b =\n\
      \  let x1 = Rat.add a b in\n\
      \  let x2 = Rat.add x1 b in\n\
      \  let x3 = Rat.add x2 b in\n\
@@ -227,7 +227,7 @@ let test_t4 () =
      \  x5\n");
   check_silent "T4" "lib/core/simulator.ml"
     (rat_stub
-   ^ "let commit_fast (a : Rat.t) b =\n\
+   ^ "let commit (a : Rat.t) b =\n\
      \  let x1 = Rat.add a b in\n\
      \  let x2 = Rat.add x1 b in\n\
      \  x2\n");
