@@ -52,9 +52,81 @@ type summary = {
   su_shard_costs : Rat.t array;
 }
 
+(* ---- the outbound byte buffer --------------------------------------- *)
+
+(* One per connection, reused for its lifetime.  Lines are formatted
+   straight into it and [write_some] hands everything pending to the
+   socket at once, so a wakeup's placements leave in one send. *)
+module Outbuf = struct
+  (* Pending bytes are [buf.[off] .. buf.[off + len - 1]]. *)
+  type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
+
+  let create n = { buf = Bytes.create n; off = 0; len = 0 }
+  let is_empty t = t.len = 0
+  let size t = t.len
+
+  (* Room for [n] more bytes at the end: slide the pending bytes to the
+     front, and grow only when they do not fit. *)
+  let reserve t n =
+    if t.off + t.len + n > Bytes.length t.buf then begin
+      let cap = Bytes.length t.buf in
+      let dst =
+        if t.len + n > cap then Bytes.create (max (t.len + n) (2 * cap))
+        else t.buf
+      in
+      Bytes.blit t.buf t.off dst 0 t.len;
+      t.buf <- dst;
+      t.off <- 0
+    end
+
+  let add_string t s =
+    let n = String.length s in
+    reserve t n;
+    Bytes.blit_string s 0 t.buf (t.off + t.len) n;
+    t.len <- t.len + n
+
+  let add_char t c =
+    reserve t 1;
+    Bytes.set t.buf (t.off + t.len) c;
+    t.len <- t.len + 1
+
+  let add_line t s =
+    add_string t s;
+    add_char t '\n'
+
+  let contents t = Bytes.sub_string t.buf t.off t.len
+
+  (* Write until EAGAIN or empty.  Each [single_write] is one
+     write(2) of up to 64 KiB, so a wakeup's placements go out in one
+     call. *)
+  let rec write_some t fd =
+    if t.len > 0 then
+      match Unix.single_write fd t.buf t.off t.len with
+      | n ->
+          t.len <- t.len - n;
+          t.off <- (if t.len = 0 then 0 else t.off + n);
+          if n > 0 then write_some t fd
+      | exception
+          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+          ()
+end
+
+let add_placement ob p =
+  Outbuf.add_string ob {|{"kind":"place","seq":|};
+  Outbuf.add_string ob (string_of_int p.p_seq);
+  Outbuf.add_string ob {|,"item":|};
+  Outbuf.add_string ob (string_of_int p.p_item);
+  Outbuf.add_string ob {|,"bin":|};
+  Outbuf.add_string ob (string_of_int p.p_bin);
+  Outbuf.add_string ob {|,"shard":|};
+  Outbuf.add_string ob (string_of_int p.p_shard);
+  Outbuf.add_char ob '}'
+
 let placement_line p =
-  Printf.sprintf {|{"kind":"place","seq":%d,"item":%d,"bin":%d,"shard":%d}|}
-    p.p_seq p.p_item p.p_bin p.p_shard
+  let ob = Outbuf.create 80 in
+  add_placement ob p;
+  Outbuf.contents ob
 
 let summary_line cfg su =
   let shard_costs =
@@ -311,6 +383,8 @@ module Fleet = struct
     let pl, _, _ = split_resps (Shard_pool.poll t.pool) in
     pl
 
+  let wake_fd t = Shard_pool.wake_fd t.pool
+
   let quiesce t =
     let pl, _, _ = split_resps (Shard_pool.quiesce t.pool) in
     pl
@@ -459,47 +533,6 @@ module Fleet = struct
          frozen
 end
 
-(* ---- non-blocking output queue -------------------------------------- *)
-
-module Outbuf = struct
-  type t = { q : string Queue.t; mutable head_off : int; mutable size : int }
-
-  let create () = { q = Queue.create (); head_off = 0; size = 0 }
-
-  let add t s =
-    Queue.add s t.q;
-    t.size <- t.size + String.length s
-
-  let is_empty t = t.size = 0
-  let size t = t.size
-
-  (* Drain as much as the (non-blocking) descriptor will take: keep
-     writing head chunks until EAGAIN or empty.  One chunk per call
-     would throttle a bounded flush loop to one line per select
-     tick — far too slow to evacuate a deep placement backlog. *)
-  let write_some t fd =
-    let rec go () =
-      match Queue.peek_opt t.q with
-      | None -> ()
-      | Some s -> (
-          let len = String.length s - t.head_off in
-          match Unix.write_substring fd s t.head_off len with
-          | n ->
-              t.head_off <- t.head_off + n;
-              t.size <- t.size - n;
-              if t.head_off >= String.length s then begin
-                ignore (Queue.pop t.q);
-                t.head_off <- 0
-              end;
-              if n > 0 then go ()
-          | exception
-              Unix.Unix_error
-                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-              ())
-    in
-    go ()
-end
-
 let set_nonblock fd =
   match Unix.set_nonblock fd with
   | () -> ()
@@ -523,17 +556,28 @@ let install_sigterm () =
 
 (* ---- one NDJSON session over a pair of descriptors ------------------- *)
 
-(* Returns [Ok (summary, terminated)]: [terminated] is true when the
-   session ended because [should_stop] fired (daemon shutdown) rather
-   than client EOF. *)
+(* How a session ended: the client closed its stream, [should_stop]
+   fired (daemon shutdown), or the client hung up (EPIPE/ECONNRESET)
+   and is owed nothing more. *)
+type ending = Closed of summary | Terminated of summary | Hung_up
+
+(* The loop sleeps in [select] on the client's input and the fleet's
+   completion pipe.  A shard that answers wakes it, and the answers go
+   out in the same iteration; the 0.2 s timeout only bounds how late
+   [should_stop] is seen. *)
 let session fleet cfg ?checkpoint ~should_stop ~input ~output () =
   let feed = TE.Feed.create () in
   let buf = Bytes.create 65536 in
-  let outq = Outbuf.create () in
+  let outq = Outbuf.create 65536 in
   set_nonblock input;
   set_nonblock output;
+  let wake = Fleet.wake_fd fleet in
   let emit_placements pls =
-    List.iter (fun p -> Outbuf.add outq (placement_line p ^ "\n")) pls
+    List.iter
+      (fun p ->
+        add_placement outq p;
+        Outbuf.add_char outq '\n')
+      pls
   in
   (* Bounded post-EOF flush: keep writing while the client drains, give
      up only after ~10 s with zero progress.  The bound must be on
@@ -569,66 +613,56 @@ let session fleet cfg ?checkpoint ~should_stop ~input ~output () =
        | Some prefix ->
            ignore (Fleet.write_checkpoints fleet ~prefix frozen)
        | None -> ());
-    Outbuf.add outq (summary_line cfg su ^ "\n");
+    Outbuf.add_line outq (summary_line cfg su);
     flush_all ();
-    Ok (su, term)
+    Ok (if term then Terminated su else Closed su)
   in
   let fail_session msg line =
-    Outbuf.add outq (line ^ "\n");
+    Outbuf.add_line outq line;
     flush_all ();
     Error msg
   in
-  let apply_events evs =
-    List.iter (Fleet.apply fleet) evs;
-    emit_placements (Fleet.placements fleet)
+  let stream_error e =
+    fail_session (TE.stream_error_to_string e) (stream_error_line e)
   in
   let rec loop () =
     if should_stop () then cut ~term:true
     else begin
       let wr = if Outbuf.is_empty outq then [] else [ output ] in
-      match Unix.select [ input ] wr [] 0.2 with
+      match Unix.select [ input; wake ] wr [] 0.2 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | rs, ws, _ -> (
-          (match ws with [] -> () | _ -> Outbuf.write_some outq output);
-          match rs with
-          | [] ->
-              (* Idle tick: shards may still be chewing a backlog, so
-                 keep draining their answers even with no new input. *)
-              emit_placements (Fleet.placements fleet);
-              loop ()
-          | _ -> (
-              match Unix.read input buf 0 (Bytes.length buf) with
-              | exception
-                  Unix.Unix_error
-                    ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-                  loop ()
-              | 0 -> (
-                  (* End of stream: flush the feed's final (possibly
-                     newline-less) line, drain the fleet, summarise. *)
-                  match TE.Feed.close feed with
-                  | Error e ->
-                      fail_session
-                        (TE.stream_error_to_string e)
-                        (stream_error_line e)
-                  | Ok evs -> (
-                      match apply_events evs with
-                      | () -> cut ~term:false
-                      | exception Protocol msg ->
-                          fail_session msg (error_line msg)))
-              | n -> (
-                  match TE.Feed.feed feed (Bytes.sub_string buf 0 n) with
-                  | Error e ->
-                      fail_session
-                        (TE.stream_error_to_string e)
-                        (stream_error_line e)
-                  | Ok evs -> (
-                      match apply_events evs with
-                      | () -> loop ()
-                      | exception Protocol msg ->
-                          fail_session msg (error_line msg)))))
+      | rs, _, _ ->
+          if List.mem wake rs then emit_placements (Fleet.placements fleet);
+          Outbuf.write_some outq output;
+          if List.mem input rs then read_input () else loop ()
     end
+  and read_input () =
+    match Unix.read input buf 0 (Bytes.length buf) with
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+        loop ()
+    | 0 -> (
+        (* End of stream: flush the feed's final (possibly newline-less)
+           line, drain the fleet, summarise. *)
+        match TE.Feed.close feed with
+        | Error e -> stream_error e
+        | Ok evs -> (
+            match List.iter (Fleet.apply fleet) evs with
+            | () -> cut ~term:false
+            | exception Protocol msg -> fail_session msg (error_line msg)))
+    | n -> (
+        match TE.Feed.feed feed (Bytes.sub_string buf 0 n) with
+        | Error e -> stream_error e
+        | Ok evs -> (
+            match List.iter (Fleet.apply fleet) evs with
+            | () -> loop ()
+            | exception Protocol msg -> fail_session msg (error_line msg)))
   in
-  loop ()
+  match loop () with
+  | r -> r
+  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+      Ok Hung_up
 
 (* Engine/session failures that surface out of the shard pool (or the
    fleet's own validation) all mean the stream was unserveable. *)
@@ -640,55 +674,68 @@ let guard f =
   | exception Simulator.Invalid_decision msg -> Error ("engine: " ^ msg)
   | exception Shard_pool.Stopped -> Error "shard pool stopped"
 
+(* Run [f] on a fresh fleet and shut it down however [f] ends, so its
+   domains are joined and its completion pipe closed.  A shard failure
+   that [f] did not already surface is dropped with the fleet. *)
+let with_fleet cfg f =
+  let fleet = Fleet.create cfg in
+  Fun.protect
+    ~finally:(fun () ->
+      match Fleet.shutdown fleet with () -> () | exception _ -> ())
+    (fun () -> f fleet)
+
 let run_stream cfg ?checkpoint ?(should_stop = fun () -> false) ~input
     ~output () =
   guard (fun () ->
-      let fleet = Fleet.create cfg in
-      let r = session fleet cfg ?checkpoint ~should_stop ~input ~output () in
-      (match Fleet.shutdown fleet with
-      | () -> ()
-      | exception _e -> ());
-      Result.map fst r)
+      with_fleet cfg (fun fleet ->
+          match session fleet cfg ?checkpoint ~should_stop ~input ~output () with
+          | Ok (Closed su | Terminated su) -> Ok su
+          | Ok Hung_up -> Error "client hung up"
+          | Error _ as e -> e))
 
 let run_listener cfg ?checkpoint ?(should_stop = fun () -> false) lfd =
   guard (fun () ->
-      let fleet = Fleet.create cfg in
-      let finish_term () =
-        let _pl, frozen = Fleet.snapshot fleet in
-        (match checkpoint with
-        | Some prefix -> ignore (Fleet.write_checkpoints fleet ~prefix frozen)
-        | None -> ());
-        let su = Fleet.summarize fleet frozen in
-        Fleet.shutdown fleet;
-        Ok su
-      in
-      let rec accept_loop () =
-        if should_stop () then finish_term ()
-        else
-          match Unix.select [ lfd ] [] [] 0.2 with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-          | [], _, _ -> accept_loop ()
-          | _ :: _, _, _ ->
-              let fd, _ = Unix.accept lfd in
-              let r =
-                session fleet cfg ?checkpoint ~should_stop ~input:fd
-                  ~output:fd ()
-              in
-              (match Unix.close fd with
-              | () -> ()
-              | exception Unix.Unix_error _ -> ());
-              (match r with
-              | Ok (su, true) ->
-                  (* SIGTERM mid-connection: checkpoints are already
-                     flushed by the session's cut. *)
-                  Fleet.shutdown fleet;
-                  Ok su
-              | Ok (_, false) -> accept_loop ()
-              | Error msg ->
-                  Fleet.shutdown fleet;
-                  Error msg)
-      in
-      accept_loop ())
+      with_fleet cfg (fun fleet ->
+          let rec accept_loop () =
+            if should_stop () then begin
+              let _pl, frozen = Fleet.snapshot fleet in
+              (match checkpoint with
+              | Some prefix ->
+                  ignore (Fleet.write_checkpoints fleet ~prefix frozen)
+              | None -> ());
+              Ok (Fleet.summarize fleet frozen)
+            end
+            else
+              match Unix.select [ lfd ] [] [] 0.2 with
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
+              | [], _, _ -> accept_loop ()
+              | _ :: _, _, _ -> (
+                  let fd, _ = Unix.accept ~cloexec:true lfd in
+                  let r =
+                    Fun.protect
+                      ~finally:(fun () ->
+                        match Unix.close fd with
+                        | () -> ()
+                        | exception Unix.Unix_error _ -> ())
+                      (fun () ->
+                        session fleet cfg ?checkpoint ~should_stop ~input:fd
+                          ~output:fd ())
+                  in
+                  match r with
+                  | Ok (Closed _) -> accept_loop ()
+                  | Ok Hung_up ->
+                      (* Only this connection ends.  Its events stay
+                         applied; its unsent answers are dropped so the
+                         next client does not receive them. *)
+                      ignore (Fleet.quiesce fleet);
+                      accept_loop ()
+                  | Ok (Terminated su) ->
+                      (* SIGTERM mid-connection: checkpoints are already
+                         flushed by the session's cut. *)
+                      Ok su
+                  | Error _ as e -> e)
+          in
+          accept_loop ()))
 
 (* ---- replay client --------------------------------------------------- *)
 
@@ -712,7 +759,7 @@ let depart_wire ~seq ~time ~item =
    placement lines into [on_line].  Returns the summary line. *)
 let pump fd ~next_line ~on_line =
   set_nonblock fd;
-  let outq = Outbuf.create () in
+  let outq = Outbuf.create 65536 in
   let inbuf = Bytes.create 65536 in
   let partial = Buffer.create 256 in
   let summary = ref None in
@@ -744,7 +791,7 @@ let pump fd ~next_line ~on_line =
       if Outbuf.size outq < 262144 && not !sent_all then
         match next_line () with
         | Some l ->
-            Outbuf.add outq (l ^ "\n");
+            Outbuf.add_line outq l;
             go ()
         | None ->
             if Outbuf.is_empty outq then begin

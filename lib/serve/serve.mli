@@ -115,7 +115,16 @@ module Fleet : sig
       [arrive]/[depart]. *)
 
   val placements : t -> placement list
-  (** Non-blocking: whatever placement answers are ready. *)
+  (** Non-blocking: whatever placement answers are ready.  Empties
+      the completion pipe ({!wake_fd}) before it drains. *)
+
+  val wake_fd : t -> Unix.file_descr
+  (** The fleet's completion descriptor ({!Shard_pool.wake_fd}):
+      readable when placement answers are waiting.  A session selects
+      on it beside the client's input and calls {!placements} when it
+      fires, so each answer is sent as soon as its shard has decided
+      it.  Opened on the first call, closed by {!shutdown}; a fleet
+      that is never asked opens no descriptor. *)
 
   val quiesce : t -> placement list
   (** Block until every enqueued event is processed. *)
@@ -161,9 +170,15 @@ val run_stream :
   (summary, string) result
 (** Serve one NDJSON stream to completion ([--stdio] and the replay
     socketpair): placements and the final summary go to [output].
-    [should_stop] is polled between ticks; when it fires the daemon
-    quiesces, writes [checkpoint] snapshots if configured, emits the
-    summary and returns. *)
+    The session sleeps in [select] on [input] and the fleet's
+    completion descriptor ({!Fleet.wake_fd}); each wakeup's placements
+    are formatted into one reused buffer and written at once, so an
+    answer leaves as soon as its shard has decided it.  [should_stop]
+    is polled at least every 0.2 s; when it fires the daemon quiesces,
+    writes [checkpoint] snapshots if configured, emits the summary and
+    returns.  A client that hangs up (EPIPE/ECONNRESET) gets
+    [Error "client hung up"].  The fleet is shut down however the
+    session ends. *)
 
 val run_listener :
   config ->
@@ -175,8 +190,12 @@ val run_listener :
     socket, each connection a fresh sequence-numbered stream against
     the {e same} fleet (sessions persist across connections; time is
     monotone for the daemon's lifetime).  Each client receives a
-    summary when its stream ends.  Returns at SIGTERM (flushing
-    checkpoints) or on a protocol error. *)
+    summary when its stream ends.  A client that hangs up mid-stream
+    (EPIPE/ECONNRESET) ends only its own connection: it gets no
+    summary, the events it sent stay applied, its unsent answers are
+    dropped, and the daemon goes back to [accept].  The process must
+    ignore SIGPIPE for that ({!install_sigterm} does).  Returns at
+    SIGTERM (flushing checkpoints) or on a protocol error. *)
 
 val replay_client :
   ?echo:(string -> unit) ->

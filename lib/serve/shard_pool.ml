@@ -3,10 +3,11 @@
    Domain/Atomic/Mutex/Condition — lint R5 and typed-lint T3 fence the
    primitives everywhere else.
 
-   Memory discipline: [pending], [failure], [stopped] and the outbox
-   are only touched under [olock]; each mailbox only under its own
-   [lock].  Shard state reached by [handler] is created before the
-   domains spawn (the spawn edge publishes it) and touched by exactly
+   Memory discipline: [pending], [failure], [stopped], [wake] and the
+   outbox are only touched under [olock] (the owner, which alone sets
+   and clears [wake], may also read it without the lock); each mailbox
+   only under its own [lock].  Shard state reached by [handler] is
+   created before the domains spawn (the spawn edge publishes it) and touched by exactly
    one domain afterwards, so no further synchronisation is needed. *)
 
 exception Stopped
@@ -28,12 +29,27 @@ type ('req, 'resp) t = {
   mutable failure : (exn * Printexc.raw_backtrace) option;
   mutable stopped : bool;
   mutable domains : unit Domain.t array;
+  mutable wake : (Unix.file_descr * Unix.file_descr) option;
+      (* the completion pipe (read end, write end), once [wake_fd] arms it *)
+  wake_buf : Bytes.t;  (* the owner's buffer for emptying the pipe *)
 }
 
 let shards t = Array.length t.boxes
 
+(* Under [olock], by a worker that has just made the outbox non-empty.
+   A full pipe is already readable, so EAGAIN loses nothing. *)
+let rec poke t =
+  match t.wake with
+  | None -> ()
+  | Some (_, w) -> (
+      match Unix.single_write_substring w "!" 0 1 with
+      | _ -> ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> poke t)
+
 (* One worker: wake, transfer the whole mailbox (the tick batch),
-   process it, post the responses in one outbox append.  A handler
+   process it, post the responses in one outbox append, and poke the
+   completion pipe if that append made the outbox non-empty.  A handler
    exception kills the shard: its queued work is discarded (and
    accounted out of [pending] so quiesce still converges), the first
    pool-wide failure is parked for the owner to re-raise. *)
@@ -65,7 +81,12 @@ let worker t k () =
       match outcome with
       | None ->
           Mutex.lock t.olock;
-          List.iter (fun p -> Queue.add p t.outbox) (List.rev !out);
+          (match !out with
+          | [] -> ()
+          | out ->
+              let was_empty = Queue.is_empty t.outbox in
+              List.iter (fun p -> Queue.add p t.outbox) (List.rev out);
+              if was_empty then poke t);
           t.pending <- t.pending - n;
           Condition.broadcast t.ocond;
           Mutex.unlock t.olock;
@@ -107,6 +128,8 @@ let create ~shards ~handler =
       failure = None;
       stopped = false;
       domains = [||];
+      wake = None;
+      wake_buf = Bytes.create 64;
     }
   in
   t.domains <- Array.init shards (fun k -> Domain.spawn (worker t k));
@@ -145,7 +168,42 @@ let drain_outbox t =
   done;
   List.rev !out
 
+let wake_fd t =
+  Mutex.protect t.olock (fun () ->
+      if t.stopped then raise Stopped;
+      match t.wake with
+      | Some (r, _) -> r
+      | None ->
+          let r, w = Unix.pipe ~cloexec:true () in
+          Unix.set_nonblock r;
+          Unix.set_nonblock w;
+          t.wake <- Some (r, w);
+          (* Answers posted before the pipe existed poked nobody. *)
+          if not (Queue.is_empty t.outbox) then poke t;
+          r)
+
+(* Empty the pipe before draining the outbox: a worker pokes only on an
+   empty-to-non-empty append, and any append after the drain below
+   finds the outbox empty and pokes a pipe already emptied, so no
+   completion goes unsignalled.  A poke landing between the two steps
+   leaves a stale byte: one spurious wake. *)
+let clear_wake t =
+  match t.wake with
+  | None -> ()
+  | Some (r, _) ->
+      let rec go () =
+        match Unix.read r t.wake_buf 0 (Bytes.length t.wake_buf) with
+        | n when n = Bytes.length t.wake_buf -> go ()
+        | _ -> ()
+        | exception
+            Unix.Unix_error
+              ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+            ()
+      in
+      go ()
+
 let poll t =
+  clear_wake t;
   Mutex.lock t.olock;
   let out = drain_outbox t in
   Mutex.unlock t.olock;
@@ -179,6 +237,12 @@ let shutdown t =
       t.boxes;
     Array.iter Domain.join t.domains;
     Mutex.lock t.olock;
+    (match t.wake with
+    | None -> ()
+    | Some (r, w) ->
+        t.wake <- None;
+        Unix.close r;
+        Unix.close w);
     let out = drain_outbox t in
     let f = t.failure in
     Mutex.unlock t.olock;

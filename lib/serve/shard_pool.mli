@@ -43,7 +43,29 @@ val submit : ('req, _) t -> shard:int -> 'req -> unit
 
 val poll : (_, 'resp) t -> (int * 'resp) list
 (** Drain whatever responses are ready, [(shard, response)] in
-    completion order, without blocking. *)
+    completion order, without blocking.  Once {!wake_fd} has armed the
+    completion pipe, [poll] empties the pipe first, then the outbox. *)
+
+val wake_fd : _ t -> Unix.file_descr
+(** The completion descriptor: the read end of a nonblocking pipe that
+    becomes readable when responses are waiting, so a caller can
+    [select] on it beside its own input instead of polling on a timer.
+    Created on the first call (later calls return the same descriptor)
+    and closed by {!shutdown}; a pool whose [wake_fd] is never called
+    opens no descriptor, and its workers pay one branch per batch.
+
+    Contract: a worker writes one byte, under the outbox lock, exactly
+    when its append makes an {e empty} outbox non-empty.  {!poll}
+    empties the pipe {e before} it drains the outbox, so a completion
+    posted after the drain always finds the outbox empty and writes a
+    byte the caller has not yet consumed: no wakeup is lost.  A byte
+    written between the two steps is stale (its responses went out
+    with that drain) and costs one spurious wake, whose [poll] returns
+    [[]].  {!quiesce} drains without emptying the pipe, which also
+    leaves at most a stale byte.  Responses already waiting when the
+    pipe is created are signalled at once.  The owner alone reads the
+    pipe.
+    @raise Stopped after {!shutdown}. *)
 
 val quiesce : (_, 'resp) t -> (int * 'resp) list
 (** Block until every submitted request has been processed, then
@@ -52,7 +74,8 @@ val quiesce : (_, 'resp) t -> (int * 'resp) list
 
 val shutdown : (_, 'resp) t -> (int * 'resp) list
 (** Stop accepting work, let each shard drain its mailbox, join every
-    domain, and return the remaining responses.  Idempotent (second
+    domain, close the completion pipe if {!wake_fd} opened one, and
+    return the remaining responses.  Idempotent (second
     call returns []).  Re-raises a parked shard failure after all
     domains are joined. *)
 

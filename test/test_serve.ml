@@ -55,15 +55,23 @@ let test_pool_batches_survive_idle () =
   Alcotest.(check bool) "quiesce flushed the tail" true
     (List.length rest <= 100)
 
+(* The handler fails on item 13, but only once the test opens the
+   latch (a pipe it writes to after submitting everything), so every
+   submit lands before the shard can die. *)
 let test_pool_failure_contract () =
+  let latch_r, latch_w = Unix.pipe ~cloexec:true () in
   let pool =
     Shard_pool.create ~shards:2 ~handler:(fun ~shard:_ req ->
-        if req = 13 then failwith "boom-13";
+        if req = 13 then begin
+          ignore (Unix.read latch_r (Bytes.create 1) 0 1);
+          failwith "boom-13"
+        end;
         [ req ])
   in
   for i = 0 to 30 do
     Shard_pool.submit pool ~shard:(i mod 2) i
   done;
+  ignore (Unix.write_substring latch_w "!" 0 1);
   (match Shard_pool.quiesce pool with
   | _ -> Alcotest.fail "quiesce should re-raise the shard failure"
   | exception Failure msg ->
@@ -72,10 +80,12 @@ let test_pool_failure_contract () =
   | () -> Alcotest.fail "submit should refuse after a failure"
   | exception Shard_pool.Stopped -> ());
   (* Shutdown re-raises the parked failure after joining domains. *)
-  match Shard_pool.shutdown pool with
+  (match Shard_pool.shutdown pool with
   | _ -> Alcotest.fail "shutdown should re-raise the shard failure"
   | exception Failure msg ->
-      Alcotest.(check string) "parked failure" "boom-13" msg
+      Alcotest.(check string) "parked failure" "boom-13" msg);
+  Unix.close latch_r;
+  Unix.close latch_w
 
 (* ---- router ---------------------------------------------------------- *)
 
@@ -500,6 +510,207 @@ let test_replay_socketpair_end_to_end () =
       Alcotest.(check int) "every arrival answered"
         (Instance.size instance) !lines
 
+(* ---- the daemon over real descriptors -------------------------------- *)
+
+let arrive_line ~seq ~t ~item ~size =
+  Printf.sprintf {|{"seq":%d,"t":"%d","kind":"arrive","item":%d,"size":"%s"}|}
+    seq t item size
+  ^ "\n"
+
+let depart_line ~seq ~t ~item =
+  Printf.sprintf
+    {|{"seq":%d,"t":"%d","kind":"depart","item":%d,"bin":-1,"held":"0"}|} seq
+    t item
+  ^ "\n"
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let read_to_eof fd =
+  let out = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents out
+    | n ->
+        Buffer.add_subbytes out chunk 0 n;
+        go ()
+  in
+  go ()
+
+let lines s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+
+(* A daemon that has stopped answering must fail the test, not hang it. *)
+let with_timeouts fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.0
+
+(* A shard's answer wakes the session: with the connection held open
+   and nothing more sent, the placement arrives well before the
+   session's 0.2 s select timeout.  The first arrival waits out the
+   fleet's start-up; the second is the one timed. *)
+let test_placement_without_more_input () =
+  Alcotest.(check string) "placement line format"
+    {|{"kind":"place","seq":1234567,"item":10,"bin":0,"shard":3}|}
+    (Serve.placement_line
+       { Serve.p_seq = 1234567; p_item = 10; p_bin = 0; p_shard = 3 });
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  with_timeouts b;
+  let join =
+    Shard_pool.spawn_background (fun () ->
+        let r =
+          Serve.run_stream (Serve.default_config ()) ~input:a ~output:a ()
+        in
+        Unix.close a;
+        r)
+  in
+  let chunk = Bytes.create 4096 in
+  let answer ~within =
+    match Unix.select [ b ] [] [] within with
+    | [], _, _ -> None
+    | _ -> Some (Bytes.sub_string chunk 0 (Unix.read b chunk 0 4096))
+  in
+  write_all b (arrive_line ~seq:0 ~t:1 ~item:7 ~size:"1/2");
+  Alcotest.(check (option string)) "first placement"
+    (Some ({|{"kind":"place","seq":0,"item":7,"bin":0,"shard":0}|} ^ "\n"))
+    (answer ~within:5.0);
+  write_all b (arrive_line ~seq:1 ~t:2 ~item:8 ~size:"1/4");
+  Alcotest.(check (option string)) "second placement within 50 ms"
+    (Some ({|{"kind":"place","seq":1,"item":8,"bin":0,"shard":0}|} ^ "\n"))
+    (answer ~within:0.05);
+  Unix.shutdown b Unix.SHUTDOWN_SEND;
+  let rest = lines (read_to_eof b) in
+  let r = join () in
+  Unix.close b;
+  Alcotest.(check bool) "served to the end" true (Result.is_ok r);
+  Alcotest.(check bool) "summary follows" true
+    (List.exists (contains ~sub:"dbp-serve-summary/1") rest)
+
+(* A client that hangs up mid-stream, leaving answers unread, ends only
+   its own connection: the daemon keeps its fleet and serves the next
+   client, which gets a well-formed summary and none of the first
+   client's answers. *)
+let test_hangup_ends_only_that_connection () =
+  let path = Filename.temp_file "dbp-serve" ".sock" in
+  Sys.remove path;
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 4;
+  (* As the CLI does through [Serve.install_sigterm]: a write to the
+     hung-up socket must fail with EPIPE, not kill the process. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let stop = ref false in
+  let cfg = { (Serve.default_config ()) with Serve.shards = 2 } in
+  let join =
+    Shard_pool.spawn_background (fun () ->
+        Serve.run_listener cfg ~should_stop:(fun () -> !stop) lfd)
+  in
+  let connect () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    with_timeouts fd;
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    fd
+  in
+  (* Client 1: 20k arrivals (each departing three later), never read. *)
+  let c1 = connect () in
+  let stream = Buffer.create (1 lsl 20) in
+  let seq = ref 0 in
+  let line l =
+    Buffer.add_string stream (l ~seq:!seq);
+    incr seq
+  in
+  for i = 0 to 19_999 do
+    line (arrive_line ~t:(i + 1) ~item:i ~size:"1/100");
+    if i >= 3 then line (depart_line ~t:(i + 1) ~item:(i - 3))
+  done;
+  write_all c1 (Buffer.contents stream);
+  Unix.close c1;
+  (* Client 2: later times, fresh ids, reads to the end. *)
+  let c2 = connect () in
+  let base = 1_000_000 in
+  write_all c2
+    (String.concat ""
+       [
+         arrive_line ~seq:0 ~t:30_000 ~item:base ~size:"1/2";
+         arrive_line ~seq:1 ~t:30_000 ~item:(base + 1) ~size:"1/3";
+         depart_line ~seq:2 ~t:30_001 ~item:base;
+       ]);
+  Unix.shutdown c2 Unix.SHUTDOWN_SEND;
+  let got = lines (read_to_eof c2) in
+  Unix.close c2;
+  stop := true;
+  let r = join () in
+  Unix.close lfd;
+  Sys.remove path;
+  Sys.set_signal Sys.sigpipe sigpipe;
+  Alcotest.(check bool) "daemon still up after the hang-up" true
+    (Result.is_ok r);
+  let places, others =
+    List.partition (contains ~sub:{|"kind":"place"|}) got
+  in
+  Alcotest.(check (list (option int))) "client 2 gets its own answers only"
+    [ Some base; Some (base + 1) ]
+    (List.sort compare @@ List.map
+       (fun l ->
+         match Dbp_obs.Trace_event.parse_flat_object l with
+         | Ok fields -> (
+             match List.assoc_opt "item" fields with
+             | Some (Dbp_obs.Trace_event.Int i) -> Some i
+             | _ -> None)
+         | Error _ -> None)
+       places);
+  match others with
+  | [ summary ] -> (
+      match Dbp_obs.Trace_event.parse_flat_object summary with
+      | Ok fields ->
+          Alcotest.(check bool) "summary schema" true
+            (List.assoc_opt "schema" fields
+            = Some (Dbp_obs.Trace_event.Str "dbp-serve-summary/1"))
+      | Error e -> Alcotest.failf "malformed summary %S: %s" summary e)
+  | _ -> Alcotest.failf "expected one summary line, got %d" (List.length others)
+
+(* The in-process fleet stages build a fleet per round, so neither a
+   session nor a bare fleet may leave a descriptor behind. *)
+let test_descriptor_hygiene () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let cfg = { (Serve.default_config ()) with Serve.shards = 2 } in
+    let one_session () =
+      let a, b =
+        Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+      in
+      write_all b
+        (arrive_line ~seq:0 ~t:1 ~item:0 ~size:"1/2"
+        ^ depart_line ~seq:1 ~t:2 ~item:0);
+      Unix.shutdown b Unix.SHUTDOWN_SEND;
+      let r = Serve.run_stream cfg ~input:a ~output:a () in
+      Unix.close a;
+      ignore (read_to_eof b);
+      Unix.close b;
+      Alcotest.(check bool) "session served" true (Result.is_ok r)
+    in
+    let before = open_fds () in
+    for _ = 1 to 50 do
+      one_session ()
+    done;
+    Alcotest.(check int) "50 sessions leave no descriptor" before
+      (open_fds ());
+    let fleet = Serve.Fleet.create cfg in
+    Alcotest.(check int) "a fleet without a session opens no pipe" before
+      (open_fds ());
+    Serve.Fleet.shutdown fleet;
+    Alcotest.(check int) "nor closes anything" before (open_fds ());
+    let fleet = Serve.Fleet.create cfg in
+    ignore (Serve.Fleet.wake_fd fleet);
+    Alcotest.(check int) "arming opens one pipe" (before + 2) (open_fds ());
+    Serve.Fleet.shutdown fleet;
+    Alcotest.(check int) "shutdown closes it" before (open_fds ())
+  end
+
+
 let suite =
   [
     Alcotest.test_case "shard pool FIFO per shard" `Quick
@@ -523,6 +734,11 @@ let suite =
     Alcotest.test_case "protocol rejections" `Quick test_protocol_rejections;
     Alcotest.test_case "replay socketpair end-to-end" `Quick
       test_replay_socketpair_end_to_end;
+    Alcotest.test_case "placement sent without further input" `Quick
+      test_placement_without_more_input;
+    Alcotest.test_case "hang-up ends only that connection" `Quick
+      test_hangup_ends_only_that_connection;
+    Alcotest.test_case "descriptor hygiene" `Quick test_descriptor_hygiene;
     prop_one_shard_cost;
     prop_shard_costs_sum;
   ]
